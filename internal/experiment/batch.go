@@ -13,7 +13,7 @@ import (
 // the same replication: the predictor name is resolved once, the (immutable)
 // processor is built once, the solar trace is realized once and a single
 // fork of it is reused run to run, and every run executes on one dedicated
-// sim.Arena, so the release schedule is expanded exactly once. RunOne
+// sim.Arena, whose kernel, queue and job structs stay warm. RunOne
 // re-derives all of that per run; over a capacity bisection or a batch of
 // sweep columns the difference is most of the non-engine cost.
 //

@@ -323,7 +323,7 @@ func (e *engine) peekNext() (float64, int, bool) {
 }
 
 func (e *engine) pendingEvents() int {
-	n := e.deadlines.len() + (len(e.release) - e.nextArrival)
+	n := e.deadlines.len()
 	if !math.IsInf(e.nextBoundary, 1) {
 		n++
 	}
@@ -612,11 +612,17 @@ func (e *engine) onDecide(now float64) {
 	// DPM: a wake transition in progress blocks scheduling.
 	if e.waking {
 		if now < e.wakeDone {
-			e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+			e.holdSleep(now, e.wakeDone)
 			return
 		}
 		e.waking, e.sleeping = false, false
 		e.setActivity(now, sim.ModeIdle, nil, 0)
+	}
+
+	// DPM: a processor stalled out of a sleep state stays down until the
+	// store can sustain the state's draw again.
+	if e.sleeping && e.mode == sim.ModeStall && e.sleepSustain(now) < stallEps {
+		return
 	}
 
 	// Unpooled: a fresh Context per decision, the straightforward way.
@@ -640,7 +646,7 @@ func (e *engine) onDecide(now float64) {
 	if d.Job == nil {
 		if e.sleeping {
 			if now < e.sleepWake {
-				e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+				e.holdSleep(now, e.sleepWake)
 				return
 			}
 			e.initiateWake(now)
@@ -656,11 +662,8 @@ func (e *engine) onDecide(now float64) {
 			}
 			until = math.Min(until, now+sustain)
 		}
-		if e.cfg.CPU.SleepLevels() > 0 {
-			e.maybeSleep(now, until)
-			if e.sleeping {
-				return
-			}
+		if e.cfg.CPU.SleepLevels() > 0 && e.maybeSleep(now, until) {
+			return
 		}
 		e.scheduleSegmentEnd(now, math.Inf(1), until)
 		return
@@ -704,14 +707,14 @@ func (e *engine) onDecide(now float64) {
 }
 
 // maybeSleep mirrors the optimized engine's DPM idle manager bit for bit.
-func (e *engine) maybeSleep(now, until float64) {
+func (e *engine) maybeSleep(now, until float64) bool {
 	winEnd := math.Min(until, e.cfg.Horizon)
 	if e.nextArrival < len(e.release) {
 		winEnd = math.Min(winEnd, e.release[e.nextArrival].Arrival)
 	}
 	idx := e.cfg.CPU.DeepestSleepFor(winEnd - now)
 	if idx < 0 {
-		return
+		return false
 	}
 	st := e.cfg.CPU.SleepState(idx)
 	if st.EnterEnergy > 0 {
@@ -722,7 +725,8 @@ func (e *engine) maybeSleep(now, until float64) {
 	e.sleepIdx = idx
 	e.sleepWake = winEnd - st.WakeLatency
 	e.setActivity(now, sim.ModeSleep, nil, idx)
-	e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+	e.holdSleep(now, e.sleepWake)
+	return true
 }
 
 // initiateWake mirrors the optimized engine's sleep-exit transition.
@@ -735,7 +739,28 @@ func (e *engine) initiateWake(now float64) {
 	e.res.Wakeups++
 	e.waking = true
 	e.wakeDone = now + st.WakeLatency
-	e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+	e.holdSleep(now, e.wakeDone)
+}
+
+// holdSleep mirrors the optimized engine: the sleep segment ends at the
+// planned instant or where the store runs dry on the sleep draw; a store
+// that cannot sustain the draw at all stalls the processor, which stays
+// in its sleep state and abandons any wake in progress.
+func (e *engine) holdSleep(now, end float64) {
+	sustain := e.sleepSustain(now)
+	if sustain < stallEps {
+		e.waking = false
+		e.setActivity(now, sim.ModeStall, nil, 0)
+		return
+	}
+	e.setActivity(now, sim.ModeSleep, nil, e.sleepIdx) // back from a stall
+	e.scheduleSegmentEnd(now, math.Inf(1), math.Min(end, now+sustain))
+}
+
+// sleepSustain is how long the store can hold the sleep state's draw.
+func (e *engine) sleepSustain(now float64) float64 {
+	pw := e.cfg.CPU.SleepState(e.sleepIdx).Power
+	return e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), pw)
 }
 
 func (e *engine) scheduleSegmentEnd(now, completion, until float64) {

@@ -132,7 +132,8 @@ func Run(j *task.Job, level int, until float64) Decision {
 
 // Policy decides what the processor does. Decide is called at every
 // scheduling event (arrival, completion, deadline, unit boundary, storage
-// crossing, Until expiry).
+// crossing, Until expiry). The engine recycles job structs: a policy may
+// read a job it chose until its next Decide returns, and no longer.
 type Policy interface {
 	Name() string
 	Decide(ctx *Context) Decision

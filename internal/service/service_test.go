@@ -330,6 +330,28 @@ func TestTimeoutMapsTo504(t *testing.T) {
 	readBody(t, resp)
 }
 
+// A horizon no run could finish is cut off by the compute timeout like any
+// other slow request: the engine streams job releases, so memory stays
+// bounded while it runs, and the server answers the next request.
+func TestHugeHorizonTimesOutAndServerRecovers(t *testing.T) {
+	s := New(Options{Workers: 1, Timeout: 200 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(`{"Horizon":1e300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504; body %s", resp.StatusCode, body)
+	}
+
+	resp = postJSON(t, ts, "/v1/sim", smallConfig())
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up request: status %d; body %s", resp.StatusCode, body)
+	}
+}
+
 // A sweep response equals marshalling the sweep run directly, and repeats
 // hit the cache.
 func TestSweepMatchesDirectAndCaches(t *testing.T) {

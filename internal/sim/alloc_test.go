@@ -90,3 +90,52 @@ type countingProbe struct {
 
 func (c *countingProbe) OnEvent(obs.Event)             { c.events++ }
 func (c *countingProbe) OnDecision(obs.DecisionRecord) { c.decisions++ }
+
+// horizonConfig is a periodic five-task workload on a constant source and
+// a predictor without per-unit tables, so nothing but the engine could
+// make a run's allocations grow with the horizon.
+func horizonConfig(horizon float64) *Config {
+	var tasks []task.Task
+	for i, p := range []float64{10, 20, 25, 40, 50} {
+		tasks = append(tasks, task.Task{ID: i, Period: p, Deadline: p, WCET: p / 8})
+	}
+	return &Config{
+		Horizon:   horizon,
+		Tasks:     tasks,
+		Source:    energy.NewConstant(5),
+		Predictor: energy.NewEWMA(0.2),
+		Store:     storage.New(500, 500),
+		CPU:       cpu.XScaleScaled(10),
+		Policy:    sched.EDF{},
+	}
+}
+
+// Jobs are streamed from a per-task arrival heap and recycled, so what an
+// arena allocates per run depends on the jobs live at once, not on the
+// horizon: once warm, a 1e6-unit run mints no job struct that its
+// 1e4-unit run did not, and allocates no more in total.
+func TestArenaAllocsIndependentOfHorizon(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector changes allocation behaviour, and a 1e6-unit run under it takes seconds")
+	}
+	a := NewArena()
+	run := func(horizon float64) func() {
+		return func() {
+			if _, err := a.Run(horizonConfig(horizon)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(1e4)()
+	short := len(a.rel.all)
+	run(1e6)()
+	if long := len(a.rel.all); long > short {
+		t.Fatalf("the 1e6-unit run minted %d job structs beyond the %d of the 1e4-unit run", long-short, short)
+	}
+	shortAllocs := testing.AllocsPerRun(1, run(1e4))
+	longAllocs := testing.AllocsPerRun(1, run(1e6))
+	t.Logf("allocs/run: %.0f at 1e4 units, %.0f at 1e6 units; %d job structs", shortAllocs, longAllocs, short)
+	if longAllocs > shortAllocs {
+		t.Fatalf("a warm 1e6-unit run allocates %.0f times, more than the %.0f of a 1e4-unit run", longAllocs, shortAllocs)
+	}
+}

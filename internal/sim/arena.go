@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"github.com/eadvfs/eadvfs/internal/des"
@@ -15,30 +14,33 @@ import (
 
 // Arena is the reusable cross-run state of the engine: the pooled DES
 // kernel (event free list), the ready queue, the per-task stats table and
-// the release-schedule template (task.ReleasePlan). One engine run churns
+// the arrival stream with its job free list. One engine run churns
 // through hundreds of job structs and kernel events; an arena allocates
 // them once and resets them per run, which is what turns a repeated
 // workload — a capacity bisection, a sweep cell, a service worker slot —
-// from ~800 allocations per run into ~20.
+// from ~800 allocations per run into ~20. Jobs are released from a
+// per-task arrival heap rather than expanded up front, so an arena's
+// memory depends on the task count and the jobs live at once, not on the
+// horizon.
 //
 // Reuse is strictly sequential: an arena serves one run at a time and is
 // not safe for concurrent use. Run (the package function) draws arenas
 // from an internal sync.Pool, which gives every concurrently executing
 // worker — the experiment parallel runner's goroutines, the service's
 // bounded pool slots — its own warm arena without coordination; hold an
-// explicit Arena only when batching runs that share a task set and
-// horizon, so the release plan survives from run to run.
+// explicit Arena only to pin a batch of runs to one set of warm pools.
 //
 // The contract the reset relies on: nothing retains engine-owned state
-// past Run. Tracers and probes copy job fields rather than keep *Job
-// (they already must, per the des event-pooling contract), and
-// Result.PerTask entries are freshly allocated per run precisely because
-// callers do retain those.
+// past Run, and no policy keeps a *Job for more than one decision past
+// the job's retirement (see releases). Tracers and probes copy job fields
+// rather than keep *Job (they already must, per the des event-pooling
+// contract), and Result.PerTask entries are freshly allocated per run
+// precisely because callers do retain those.
 type Arena struct {
 	kernel *des.Kernel
 	queue  *task.ReadyQueue
 	tasks  *taskTable
-	plan   *task.ReleasePlan // cached release schedule; nil until first use
+	rel    releases
 	eng    engine
 }
 
@@ -68,11 +70,9 @@ type RunOutcome struct {
 // RunMany executes the configs sequentially on a single pooled arena and
 // returns one outcome per config, in order. Each run is bit-identical to
 // an independent Run of the same config (the internal/verify differential
-// pins this down); the batch form amortizes the kernel, queue and — when
-// consecutive configs share Tasks and Horizon, as replications and
-// capacity columns do — the release-schedule expansion across the whole
-// batch. Stateful components (Store, Predictor, Policy) are consumed per
-// run as always and must be fresh per config.
+// pins this down); the batch form amortizes the kernel, queue and job
+// structs across the whole batch. Stateful components (Store, Predictor,
+// Policy) are consumed per run as always and must be fresh per config.
 func RunMany(cfgs []*Config) []RunOutcome {
 	a := arenaPool.Get().(*Arena)
 	out := make([]RunOutcome, len(cfgs))
@@ -143,6 +143,7 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		cfg:       cfg,
 		kernel:    a.kernel,
 		queue:     a.queue,
+		rel:       &a.rel,
 		lastRunLv: -1,
 		tasks:     a.tasks,
 		faults:    faults,
@@ -170,8 +171,8 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 	}
 
 	planSpan := obs.StartSpan(trace, "sim", "plan", traceParent)
-	e.release = a.releaseJobs(cfg)
-	planSpan.SetInt("jobs", int64(len(e.release)))
+	a.rel.reset(cfg)
+	planSpan.SetInt("tasks", int64(len(cfg.Tasks)))
 	planSpan.SetFloat("horizon", cfg.Horizon)
 	planSpan.End()
 
@@ -212,6 +213,7 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 	e.res.ConservationErr = cfg.Store.ConservationError(e.initialLevel)
 	simSpan.SetFloat("sim_end", end)
 	simSpan.SetInt("events", int64(e.dispatched))
+	simSpan.SetInt("jobs", int64(e.res.Miss.Released))
 	simSpan.End()
 	if err := e.res.Miss.Check(); err != nil {
 		if e.inv == nil {
@@ -226,32 +228,4 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		}
 	}
 	return e.res, nil
-}
-
-// releaseJobs produces the run's release schedule, sorted by arrival.
-//
-// The pure-periodic case (no explicit Config.Jobs) serves from the
-// arena's cached ReleasePlan, rebuilt only when the task set or horizon
-// changes: ReleaseJobs already emits (arrival, task ID, seq) order, the
-// exact order the former per-run stable sort preserved, so the template
-// path is bit-identical to the allocating one. Explicit jobs are caller
-// state a template cannot own, so that path keeps the per-run build.
-func (a *Arena) releaseJobs(cfg *Config) []*task.Job {
-	if len(cfg.Jobs) == 0 {
-		if a.plan == nil || !a.plan.Matches(cfg.Tasks, cfg.Horizon) {
-			a.plan = task.NewReleasePlan(cfg.Tasks, cfg.Horizon)
-		}
-		return a.plan.Jobs()
-	}
-	release := task.ReleaseJobs(cfg.Tasks, cfg.Horizon)
-	for _, j := range cfg.Jobs {
-		if j.Arrival < cfg.Horizon {
-			release = append(release, j)
-		}
-	}
-	// The stable re-sort folds the appended explicit jobs in while keeping
-	// the original tie order at equal arrival instants (which is the
-	// former kernel-heap insertion order).
-	sort.SliceStable(release, func(x, y int) bool { return release[x].Arrival < release[y].Arrival })
-	return release
 }

@@ -76,7 +76,9 @@ func (m Mode) String() string {
 }
 
 // Tracer observes the schedule as it unfolds. All callbacks are optional
-// no-ops in implementations that do not care.
+// no-ops in implementations that do not care. The engine recycles job
+// structs, so implementations copy what they need from a *task.Job
+// rather than keep the pointer.
 type Tracer interface {
 	// OnSegment reports a maximal interval of constant activity.
 	OnSegment(start, end float64, mode Mode, job *task.Job, level int)
@@ -92,7 +94,8 @@ type Config struct {
 	Tasks   []task.Task
 	// Jobs are explicit job instances (e.g. a sporadic stream from
 	// task.GenerateSporadic) released in addition to the periodic Tasks'
-	// jobs. Jobs arriving at or after Horizon are ignored.
+	// jobs. Jobs arriving at or after Horizon are ignored. The engine
+	// runs copies, so the caller's jobs are left untouched.
 	Jobs      []*task.Job
 	Source    energy.Source
 	Predictor energy.Predictor
@@ -303,7 +306,8 @@ type SlackStats struct {
 //   - at most one segment end is pending at a time (segTime — superseding
 //     it is a field write, which also removes the stale-handle hazard of
 //     cancelling a pooled kernel event after it fired),
-//   - arrivals are a cursor over the pre-sorted release slice,
+//   - arrivals come from the releases stream: a heap with one pending
+//     arrival per periodic task, merged with the sorted Config.Jobs,
 //   - at most one decision is pending at a time (decideAt).
 //
 // The priorities are disjoint per stream, so the merged order is exactly
@@ -323,11 +327,10 @@ type engine struct {
 	segStart  float64 // start of the current constant-activity segment
 	lastRunLv int     // level of the previous run segment, -1 before any
 
-	release       []*task.Job // job releases sorted by arrival (stable)
-	nextArrival   int         // cursor into release
-	nextBoundary  float64     // next unit boundary; +Inf when exhausted
-	segTime       float64     // pending segment end; +Inf when none
-	decideAt      float64     // pending decision instant
+	rel           *releases // arrival stream and job free list (arena-owned)
+	nextBoundary  float64   // next unit boundary; +Inf when exhausted
+	segTime       float64   // pending segment end; +Inf when none
+	decideAt      float64   // pending decision instant
 	decidePending bool
 
 	simNow     float64 // time of the last dispatched event
@@ -363,11 +366,10 @@ type engine struct {
 // *EventBudgetError with a nil Result.
 //
 // Runs execute on pooled arenas (see Arena): the DES kernel, ready queue,
-// per-task table and release-schedule template are reused across runs, so
+// per-task table, arrival heap and job structs are reused across runs, so
 // steady-state simulation allocates only the Result and the caller's
-// stateful components. Callers batching many related runs can hold an
-// explicit arena (NewArena, RunMany) for release-plan reuse across the
-// whole batch.
+// stateful components, whatever the horizon. Callers batching many runs
+// can pin them to one arena (NewArena, RunMany).
 func Run(cfg *Config) (*Result, error) {
 	a := arenaPool.Get().(*Arena)
 	res, err := a.Run(cfg)
@@ -416,9 +418,7 @@ func (e *engine) dispatch() error {
 			e.segTime = math.Inf(1)
 			e.onSegmentEnd(t)
 		case prioArrival:
-			j := e.release[e.nextArrival]
-			e.nextArrival++
-			e.onArrival(t, j)
+			e.onArrival(t, e.rel.pop())
 		case prioDeadline:
 			e.kernel.Step()
 		case prioDecide:
@@ -445,10 +445,8 @@ func (e *engine) peekNext() (float64, int, bool) {
 	if better(e.segTime, prioSegment) {
 		best, bestPrio = e.segTime, prioSegment
 	}
-	if e.nextArrival < len(e.release) {
-		if t := e.release[e.nextArrival].Arrival; better(t, prioArrival) {
-			best, bestPrio = t, prioArrival
-		}
+	if better(e.rel.next, prioArrival) {
+		best, bestPrio = e.rel.next, prioArrival
 	}
 	if e.decidePending && better(e.decideAt, prioDecide) {
 		best, bestPrio = e.decideAt, prioDecide
@@ -456,10 +454,10 @@ func (e *engine) peekNext() (float64, int, bool) {
 	return best, bestPrio, !math.IsInf(best, 1)
 }
 
-// pendingEvents counts queued events across all streams (diagnostics for
+// pendingEvents counts queued events, arrivals excepted (diagnostics for
 // EventBudgetError).
 func (e *engine) pendingEvents() int {
-	n := e.kernel.Pending() + (len(e.release) - e.nextArrival)
+	n := e.kernel.Pending()
 	if !math.IsInf(e.nextBoundary, 1) {
 		n++
 	}
@@ -646,6 +644,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 		e.tasks.finished(j, now)
 		e.emit(now, "completion", j)
 		e.noteReclaimed(now, j)
+		e.rel.retire(j) // never queued, no deadline event
 		return
 	}
 	e.queue.Push(j)
@@ -666,7 +665,8 @@ func (e *engine) onDeadlineArg(now float64, arg any) {
 
 func (e *engine) onDeadline(now float64, j *task.Job) {
 	e.syncTo(now)
-	if j.Done() || j.Missed() {
+	if j.Done() {
+		e.rel.retire(j) // completed in time; this event was its last reference
 		return
 	}
 	j.MarkMissed()
@@ -683,6 +683,7 @@ func (e *engine) onDeadline(now float64, j *task.Job) {
 		if e.running == j {
 			e.setActivity(now, ModeIdle, nil, 0)
 		}
+		e.rel.retire(j)
 	}
 	e.requestDecide(now)
 }
@@ -737,6 +738,11 @@ func (e *engine) finishIfDone(now float64) {
 		e.emit(now, "completion", j)
 		e.noteReclaimed(now, j)
 		e.setActivity(now, ModeIdle, nil, 0)
+		if j.Missed() || j.Abs > e.cfg.Horizon {
+			// No deadline event still to fire; otherwise onDeadline
+			// retires the job.
+			e.rel.retire(j)
+		}
 	}
 }
 
@@ -772,11 +778,18 @@ func (e *engine) onDecide(now float64) {
 	// is not consulted until the latency has elapsed.
 	if e.waking {
 		if now < e.wakeDone {
-			e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+			e.holdSleep(now, e.wakeDone)
 			return
 		}
 		e.waking, e.sleeping = false, false
 		e.setActivity(now, ModeIdle, nil, 0)
+	}
+
+	// DPM: a processor stalled out of a sleep state (holdSleep) stays down
+	// until the store can sustain the state's draw again; it then leaves
+	// the state only through a full wake, like any sleeping processor.
+	if e.sleeping && e.mode == ModeStall && e.sleepSustain(now) < stallEps {
+		return
 	}
 
 	// The context struct is reused across decisions — policies must not
@@ -792,6 +805,7 @@ func (e *engine) onDecide(now float64) {
 		Probe:     e.cfg.Probe,
 	}
 	d := e.cfg.Policy.Decide(&e.ctx)
+	e.rel.recycle()
 	e.res.Decisions++
 	if e.mode == ModeRun && e.running != nil && !e.running.Done() &&
 		d.Job != nil && d.Job != e.running {
@@ -803,7 +817,7 @@ func (e *engine) onDecide(now float64) {
 			if now < e.sleepWake {
 				// Still idle and still ahead of the planned wake: stay in
 				// the sleep state without re-paying the enter energy.
-				e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+				e.holdSleep(now, e.sleepWake)
 				return
 			}
 			e.initiateWake(now)
@@ -821,11 +835,8 @@ func (e *engine) onDecide(now float64) {
 			}
 			until = math.Min(until, now+sustain)
 		}
-		if e.cfg.CPU.SleepLevels() > 0 {
-			e.maybeSleep(now, until)
-			if e.sleeping {
-				return
-			}
+		if e.cfg.CPU.SleepLevels() > 0 && e.maybeSleep(now, until) {
+			return
 		}
 		e.scheduleSegmentEnd(now, math.Inf(1), until)
 		return
@@ -885,14 +896,12 @@ func (e *engine) onDecide(now float64) {
 // an early wake with the full latency penalty, which is exactly the risk
 // break-even gating prices in). The planned wake initiates one latency
 // early, so the processor is available again right when the window ends.
-func (e *engine) maybeSleep(now, until float64) {
-	winEnd := math.Min(until, e.cfg.Horizon)
-	if e.nextArrival < len(e.release) {
-		winEnd = math.Min(winEnd, e.release[e.nextArrival].Arrival)
-	}
+// It reports whether it entered a sleep state (and so owns the segment).
+func (e *engine) maybeSleep(now, until float64) bool {
+	winEnd := math.Min(math.Min(until, e.cfg.Horizon), e.rel.next)
 	idx := e.cfg.CPU.DeepestSleepFor(winEnd - now)
 	if idx < 0 {
-		return
+		return false
 	}
 	st := e.cfg.CPU.SleepState(idx)
 	if st.EnterEnergy > 0 {
@@ -903,7 +912,8 @@ func (e *engine) maybeSleep(now, until float64) {
 	e.sleepIdx = idx
 	e.sleepWake = winEnd - st.WakeLatency
 	e.setActivity(now, ModeSleep, nil, idx)
-	e.scheduleSegmentEnd(now, math.Inf(1), e.sleepWake)
+	e.holdSleep(now, e.sleepWake)
+	return true
 }
 
 // initiateWake starts the sleep-exit transition: the exit energy is paid
@@ -919,7 +929,31 @@ func (e *engine) initiateWake(now float64) {
 	e.res.Wakeups++
 	e.waking = true
 	e.wakeDone = now + st.WakeLatency
-	e.scheduleSegmentEnd(now, math.Inf(1), e.wakeDone)
+	e.holdSleep(now, e.wakeDone)
+}
+
+// holdSleep keeps the processor in its sleep state, asleep or waking,
+// until end or until the store runs dry on the state's draw, whichever
+// comes first: like every segment, a sleep segment must end where the
+// store empties. A store that cannot sustain the draw at all stalls the
+// processor, which stays in its sleep state while stalled: an interrupted
+// wake is abandoned, and the processor runs again only after a full wake
+// (initiateWake: exit energy, wake latency, one more Wakeups).
+func (e *engine) holdSleep(now, end float64) {
+	sustain := e.sleepSustain(now)
+	if sustain < stallEps {
+		e.waking = false
+		e.setActivity(now, ModeStall, nil, 0)
+		return
+	}
+	e.setActivity(now, ModeSleep, nil, e.sleepIdx) // back from a stall
+	e.scheduleSegmentEnd(now, math.Inf(1), math.Min(end, now+sustain))
+}
+
+// sleepSustain is how long the store can hold the sleep state's draw.
+func (e *engine) sleepSustain(now float64) float64 {
+	pw := e.cfg.CPU.SleepState(e.sleepIdx).Power
+	return e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), pw)
 }
 
 // scheduleSegmentEnd installs the next forced re-evaluation at

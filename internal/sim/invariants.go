@@ -58,7 +58,10 @@ type EventBudgetError struct {
 	Events  uint64  // events dispatched when the watchdog fired
 	Time    float64 // simulation clock at abort
 	Horizon float64
-	Pending int // events still queued
+	// Pending counts the events still queued: deadline checks, and the
+	// next unit boundary, segment end and decision if armed. Releases
+	// still ahead are not counted.
+	Pending int
 }
 
 // Error implements error.

@@ -103,7 +103,9 @@ func SetUtilization(tasks []Task) float64 {
 
 // ReleaseJobs expands a task set into all job instances released strictly
 // before horizon, in arrival order (stable across runs). The number of jobs
-// is Σ ceil((horizon − offset)/period).
+// is Σ ceil((horizon − offset)/period). The engine streams the same
+// releases in the same order without expanding them (internal/sim); the
+// reference engine (internal/refimpl) expands them here.
 func ReleaseJobs(tasks []Task, horizon float64) []*Job {
 	var jobs []*Job
 	for _, t := range tasks {

@@ -90,7 +90,8 @@ type Job struct {
 	// Storing it on the job instead of in a per-policy map keeps the
 	// decision path allocation-free and lets the state die with the job.
 	// A job participates in at most one run (Progress mutates it), so one
-	// slot cannot be contended by two policies.
+	// slot cannot be contended by two policies; Reset clears it before a
+	// recycled struct is released again.
 	s2lock   float64
 	s2locked bool
 }
@@ -107,19 +108,24 @@ func (j *Job) ClearS2Lock() { j.s2lock, j.s2locked = 0, false }
 // NewJob constructs a job whose actual work equals its WCET (the paper's
 // model).
 func NewJob(taskID, seq int, arrival, relDeadline, wcet float64) *Job {
+	j := new(Job)
+	j.Reset(taskID, seq, arrival, relDeadline, wcet)
+	return j
+}
+
+// Reset reinitializes j in place as a just-released job: NewJob without
+// the allocation, for engines that recycle job structs. Every other
+// field (Exec, execution progress, flags, queue position, policy
+// scratch) is cleared.
+func (j *Job) Reset(taskID, seq int, arrival, relDeadline, wcet float64) {
 	if wcet < 0 || relDeadline <= 0 || arrival < 0 {
 		panic(fmt.Sprintf("task: invalid job parameters (a=%v d=%v w=%v)", arrival, relDeadline, wcet))
 	}
-	return &Job{
-		TaskID:    taskID,
-		Seq:       seq,
-		Arrival:   arrival,
-		Abs:       arrival + relDeadline,
-		WCET:      wcet,
-		remaining: wcet,
-		actual:    wcet,
-		heapIndex: -1,
-	}
+	*j = Job{} // clear in place; a composite literal would be built and copied
+	j.TaskID, j.Seq = taskID, seq
+	j.Arrival, j.Abs, j.WCET = arrival, arrival+relDeadline, wcet
+	j.remaining, j.actual = wcet, wcet
+	j.heapIndex = -1
 }
 
 // SetActualWork declares that the job will really take work <= WCET. It

@@ -167,3 +167,21 @@ func TestSlackArithmeticProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A recycled job struct must come back indistinguishable from a fresh one:
+// no execution progress, flags, queue position, policy scratch or
+// distribution survives Reset.
+func TestJobResetMatchesNewJob(t *testing.T) {
+	j := NewJob(3, 7, 10, 20, 5)
+	j.Exec = &ExecSpec{Dist: DistUniform, BCRatio: 0.5}
+	j.Progress(2)
+	j.MarkMissed()
+	j.LockS2(12)
+	q := NewReadyQueue()
+	q.Push(j)
+
+	j.Reset(4, 0, 30, 15, 2)
+	if want := NewJob(4, 0, 30, 15, 2); *j != *want {
+		t.Fatalf("after Reset: %+v, want %+v", *j, *want)
+	}
+}
