@@ -6,8 +6,10 @@
 //   - a machine-readable JSON report (-json), the format of the checked-in
 //     BENCH_baseline.json at the repo root.
 //
-// Each case reports ns/op, allocs/op, B/op and the experiment's shape
-// metrics (missrate/*, energy/*, ratio/*, …). The shape metrics are the
+// Each case runs one untimed warm-up iteration (filling the sim arena
+// pools, solar tables and caches a first run builds), then reports ns/op,
+// allocs/op, B/op and the experiment's shape metrics (missrate/*,
+// energy/*, ratio/*, …) of the timed iterations. The shape metrics are the
 // regression guard: an "optimization" that moves them changed the science,
 // not just the speed. See DESIGN.md §9 for the regeneration workflow.
 //
@@ -30,6 +32,10 @@
 // that tolerates CI machine noise but catches order-of-magnitude
 // slowdowns), or any shape metric whose bits differ from the baseline's
 // (metrics are seed-deterministic; any drift means the science changed).
+// The report records GOMAXPROCS and the CPU count; -check warns (without
+// failing) when they differ from the baseline's, since the experiment
+// runner's parallelism, and with it the per-worker arena warm-up, follows
+// GOMAXPROCS.
 // -check-perf=false skips the two perf bounds but keeps the bit-exact
 // metric comparison — the mode CI uses under the race detector, where
 // wall-clock and allocation counts are meaningless but the shape metrics
@@ -73,12 +79,16 @@ type caseReport struct {
 }
 
 type report struct {
-	GoVersion string       `json:"go_version"`
-	GOOS      string       `json:"goos"`
-	GOARCH    string       `json:"goarch"`
-	Count     int          `json:"count"`
-	Benchtime int          `json:"benchtime_iterations"`
-	Cases     []caseReport `json:"cases"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// GOMAXPROCS and NumCPU describe the measuring machine; omitted from
+	// reports written before they were recorded.
+	GOMAXPROCS int          `json:"gomaxprocs,omitempty"`
+	NumCPU     int          `json:"num_cpu,omitempty"`
+	Count      int          `json:"count"`
+	Benchtime  int          `json:"benchtime_iterations"`
+	Cases      []caseReport `json:"cases"`
 }
 
 func main() {
@@ -123,11 +133,13 @@ func main() {
 	defer stopCPU()
 
 	rep := report{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Count:     *count,
-		Benchtime: *benchtime,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Count:      *count,
+		Benchtime:  *benchtime,
 	}
 
 	// Header lines benchstat uses to group results.
@@ -139,6 +151,9 @@ func main() {
 			continue
 		}
 		ran++
+		if _, err := c.Run(1); err != nil {
+			fatalf("eabench: %s: warm-up: %v", c.Name, err)
+		}
 		var last caseReport
 		for m := 0; m < *count; m++ {
 			r, err := measure(c, *benchtime)
@@ -228,6 +243,14 @@ func checkAgainst(path string, cur report, perf bool) error {
 	var base report
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
+	}
+	switch {
+	case base.GOMAXPROCS == 0 || base.NumCPU == 0:
+		fmt.Fprintf(os.Stderr, "eabench: warning: %s does not record gomaxprocs/num_cpu (this run: %d/%d)\n",
+			path, cur.GOMAXPROCS, cur.NumCPU)
+	case base.GOMAXPROCS != cur.GOMAXPROCS || base.NumCPU != cur.NumCPU:
+		fmt.Fprintf(os.Stderr, "eabench: warning: gomaxprocs/num_cpu %d/%d differ from the baseline's %d/%d\n",
+			cur.GOMAXPROCS, cur.NumCPU, base.GOMAXPROCS, base.NumCPU)
 	}
 	baseline := make(map[string]caseReport, len(base.Cases))
 	for _, c := range base.Cases {

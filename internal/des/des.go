@@ -3,12 +3,15 @@
 // tie-breaking, and a clock that dispatches events in order.
 //
 // The paper's evaluation (§5) is produced by "a discrete-event simulation in
-// C/C++"; this package is the Go equivalent of that substrate. Everything
-// above it (energy flows, scheduling decisions) is expressed as events.
+// C/C++"; this package is the Go equivalent of that substrate. The
+// simulation engine (internal/sim) keeps the same (time, priority,
+// insertion sequence) order but specializes it: each of its event classes
+// is a typed stream merged by (time, priority), so no engine event goes
+// through this kernel (DESIGN.md §9).
 //
 // The kernel recycles Event structs through an internal free list, so a
 // steady-state simulation allocates nothing per event. The pooling contract
-// (DESIGN.md §9): an *Event handle returned by At/AtArg/After is valid only
+// (DESIGN.md §9): an *Event handle returned by At/After is valid only
 // until the event fires or its cancellation is collected — holders must drop
 // the pointer once the event has been dispatched. Cancel remains safe on
 // live handles; retaining a handle past dispatch and cancelling it later
@@ -25,13 +28,6 @@ import (
 // timestamp, which equals the kernel clock at dispatch.
 type Handler func(now float64)
 
-// ArgHandler is a handler that receives an opaque argument alongside the
-// timestamp. Scheduling with AtArg lets callers reuse one long-lived
-// function value for many events instead of allocating a closure per event
-// (the allocation profile of a 10⁴-unit run is dominated by exactly those
-// closures otherwise).
-type ArgHandler func(now float64, arg any)
-
 // Event is a scheduled occurrence. Events are ordered by (Time, Priority,
 // insertion sequence); the sequence number makes dispatch order fully
 // deterministic even for simultaneous events with equal priority.
@@ -42,9 +38,6 @@ type Event struct {
 	Priority int // lower fires first among equal times
 	Label    string
 	Handler  Handler
-
-	argFn ArgHandler
-	arg   any
 
 	seq       uint64
 	index     int // heap index; -1 when not queued
@@ -136,48 +129,17 @@ func (k *Kernel) alloc() *Event {
 	return e
 }
 
-// recycle clears an event (dropping its handler, argument and label
-// references) and returns it to the free list.
+// recycle clears an event (dropping its handler and label references) and
+// returns it to the free list.
 func (k *Kernel) recycle(e *Event) {
 	*e = Event{index: -1}
 	k.free = append(k.free, e)
-}
-
-// Reset returns the kernel to its initial state — clock at 0, step and
-// sequence counters cleared, no queued events — while keeping the recycled
-// free list warm, so a reused kernel (internal/sim's run arenas) schedules
-// its first events without allocating. Still-queued events are recycled;
-// any outstanding *Event handles are invalidated exactly as if their
-// events had fired (the pooling contract in the package comment).
-func (k *Kernel) Reset() {
-	for len(k.queue) > 0 {
-		k.recycle(heap.Pop(&k.queue).(*Event))
-	}
-	k.now = 0
-	k.steps = 0
-	k.nextSeq = 0
 }
 
 // At schedules handler to fire at absolute time t with the given priority.
 // Scheduling in the past (t < Now) panics: it would silently corrupt
 // causality, which in a simulator is always a bug upstream.
 func (k *Kernel) At(t float64, priority int, label string, handler Handler) *Event {
-	e := k.schedule(t, priority, label)
-	e.Handler = handler
-	return e
-}
-
-// AtArg schedules fn(t, arg) to fire at absolute time t. The function value
-// can be shared across many events; arg carries the per-event state (a
-// pointer stored in an interface does not allocate).
-func (k *Kernel) AtArg(t float64, priority int, label string, fn ArgHandler, arg any) *Event {
-	e := k.schedule(t, priority, label)
-	e.argFn = fn
-	e.arg = arg
-	return e
-}
-
-func (k *Kernel) schedule(t float64, priority int, label string) *Event {
 	if math.IsNaN(t) {
 		panic("des: scheduling event at NaN time")
 	}
@@ -188,6 +150,7 @@ func (k *Kernel) schedule(t float64, priority int, label string) *Event {
 	e.Time = t
 	e.Priority = priority
 	e.Label = label
+	e.Handler = handler
 	e.seq = k.nextSeq
 	e.index = -1
 	k.nextSeq++
@@ -217,19 +180,11 @@ func (k *Kernel) Cancel(e *Event) {
 // PeekTime returns the timestamp of the next non-cancelled event and true,
 // or (0, false) when the queue is drained.
 func (k *Kernel) PeekTime() (float64, bool) {
-	t, _, ok := k.Peek()
-	return t, ok
-}
-
-// Peek returns the timestamp and priority of the next non-cancelled event.
-// Callers merging the kernel queue with externally maintained event streams
-// (internal/sim) use the priority to preserve the total dispatch order.
-func (k *Kernel) Peek() (t float64, priority int, ok bool) {
 	k.dropCancelled()
 	if len(k.queue) == 0 {
-		return 0, 0, false
+		return 0, false
 	}
-	return k.queue[0].Time, k.queue[0].Priority, true
+	return k.queue[0].Time, true
 }
 
 func (k *Kernel) dropCancelled() {
@@ -253,11 +208,9 @@ func (k *Kernel) Step() bool {
 	// Copy what the dispatch needs, then recycle before invoking: the
 	// handler may schedule new events, and the freshest free-list entry is
 	// the most cache-warm one to hand back.
-	h, af, a := e.Handler, e.argFn, e.arg
+	h := e.Handler
 	k.recycle(e)
-	if af != nil {
-		af(k.now, a)
-	} else if h != nil {
+	if h != nil {
 		h(k.now)
 	}
 	return true

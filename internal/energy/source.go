@@ -19,8 +19,12 @@ import (
 )
 
 // Source is a harvesting power supply. PowerAt reports the (non-negative)
-// output power over the unit interval containing t; the value is constant
-// within each interval [k, k+1).
+// output power at t; the value is constant within each interval [k, k+1),
+// with one exception: a TwoMode whose Period or DayLen is not an integer
+// switches between day and night at fractional instants, so its value can
+// change inside a unit. The engines sample PowerAt at the start of every
+// integration step, which keeps such a source deterministic, but a cache
+// of PowerAt must be keyed by the exact instant, not by its unit.
 type Source interface {
 	// PowerAt returns the harvested power at time t >= 0.
 	PowerAt(t float64) float64
@@ -276,6 +280,9 @@ func (c Constant) Name() string              { return "constant" }
 
 // TwoMode is the coarse day/night solar model of Rusu et al. [5]: DayPower
 // during the first DayLen units of every Period, NightPower for the rest.
+// With an integer Period and DayLen it keeps the Source contract of one
+// value per unit interval; otherwise it breaks it (see Source): the mode
+// switches at the fractional instants k·Period and k·Period + DayLen.
 type TwoMode struct {
 	DayPower   float64
 	NightPower float64

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -17,10 +16,6 @@ import (
 // deterministic order regardless of completion order.
 var Parallelism = runtime.GOMAXPROCS(0)
 
-// maxJobAttempts bounds how many times a job failing with a
-// TransientError is re-executed before its error sticks.
-const maxJobAttempts = 3
-
 // Progress, when non-nil, is invoked after every finished parallel job with
 // the number of jobs done so far and the batch total. Calls are serialized
 // (one at a time), so the reporter needs no locking of its own; it must be
@@ -33,19 +28,6 @@ type job struct {
 	slot int
 	run  func() error
 }
-
-// TransientError marks a job failure as retryable: runParallel re-executes
-// the job (up to maxJobAttempts total) before recording the error.
-// Simulations are deterministic, so genuine model errors are NOT
-// transient; this classifies environmental failures (e.g. a temp-file
-// write during CSV export) that a retry can clear.
-type TransientError struct{ Err error }
-
-// Error implements error.
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
 
 // PanicError is a worker panic converted into a slot-attributed error, so
 // one exploding replication surfaces as a diagnosable failure instead of
@@ -85,8 +67,7 @@ func (e *CancelledError) Error() string {
 func (e *CancelledError) Unwrap() error { return e.Err }
 
 // RunHardened executes fn with the parallel runner's robustness wrapper —
-// panic recovery into a *PanicError and bounded retry of TransientError
-// failures — without a batch around it. The simulation service uses it so
+// panic recovery into a *PanicError — without a batch around it. The simulation service uses it so
 // a single network-submitted run gets the same hardening a sweep
 // replication does: one exploding request surfaces as a diagnosable 5xx,
 // never a dead worker.
@@ -100,10 +81,11 @@ func RunHardened(fn func() error) error {
 // deterministic.
 //
 // Robustness guarantees: a panicking job is recovered into a *PanicError
-// (the sweep never hangs on a dead worker), TransientError failures are
-// retried a bounded number of times, and after the first recorded error
-// the remaining queued jobs are cancelled at pickup — already-running jobs
-// finish, and their errors still participate in lowest-slot selection.
+// (the sweep never hangs on a dead worker), and after the first recorded
+// error the remaining queued jobs are cancelled at pickup — already-running
+// jobs finish, and their errors still participate in lowest-slot selection.
+// A failed job is not retried: simulations are deterministic, so a rerun
+// fails the same way.
 func runParallel(jobs []job) error {
 	return runParallelCtx(context.Background(), jobs)
 }
@@ -223,23 +205,9 @@ func runParallelPartialCtx(ctx context.Context, jobs []job, keepGoing bool) (map
 	return errs, skipped
 }
 
-// runJob executes one job with panic recovery and bounded retry of
-// transient failures.
-func runJob(j job) error {
-	var err error
-	for attempt := 0; attempt < maxJobAttempts; attempt++ {
-		err = runJobOnce(j)
-		var te *TransientError
-		if err == nil || !errors.As(err, &te) {
-			return err
-		}
-	}
-	return err
-}
-
-// runJobOnce executes the job's function, converting a panic into a
+// runJob executes the job's function, converting a panic into a
 // slot-attributed *PanicError.
-func runJobOnce(j job) (err error) {
+func runJob(j job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Slot: j.slot, Value: r, Stack: string(debug.Stack())}

@@ -184,54 +184,6 @@ func TestRunParallelPartialKeepsGoing(t *testing.T) {
 	}
 }
 
-// TransientError failures are retried up to maxJobAttempts; persistent
-// failures and plain errors are not retried.
-func TestRunParallelTransientRetry(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-	Parallelism = 1
-
-	flaky := errors.New("flaky io")
-	var attempts int64
-	recovers := job{slot: 0, run: func() error {
-		if atomic.AddInt64(&attempts, 1) < 3 {
-			return &TransientError{Err: flaky}
-		}
-		return nil
-	}}
-	if err := runParallel([]job{recovers}); err != nil {
-		t.Fatalf("job recovered on retry but sweep failed: %v", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("%d attempts, want 3", attempts)
-	}
-
-	attempts = 0
-	hopeless := job{slot: 0, run: func() error {
-		atomic.AddInt64(&attempts, 1)
-		return &TransientError{Err: flaky}
-	}}
-	err := runParallel([]job{hopeless})
-	if !errors.Is(err, flaky) {
-		t.Fatalf("got %v, want wrapped flaky error", err)
-	}
-	if attempts != maxJobAttempts {
-		t.Fatalf("%d attempts, want %d", attempts, maxJobAttempts)
-	}
-
-	attempts = 0
-	plain := job{slot: 0, run: func() error {
-		atomic.AddInt64(&attempts, 1)
-		return flaky
-	}}
-	if err := runParallel([]job{plain}); err != flaky {
-		t.Fatalf("got %v, want flaky", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("plain error retried: %d attempts", attempts)
-	}
-}
-
 // Parallel and serial execution of a sweep must produce identical results
 // — the merge is slot-ordered, not completion-ordered.
 func TestParallelDeterminism(t *testing.T) {

@@ -17,10 +17,12 @@ import (
 
 // Context is the system state a policy observes at a decision point.
 //
-// Reuse contract: the engine owns ONE Context per run and overwrites its
-// fields in place before every Decide call (the hot path allocates
-// nothing per decision). A policy must therefore treat the pointer as
-// valid only for the duration of Decide — read it, decide, return; never
+// Reuse contract: the engine owns ONE Context per run. It sets the
+// run-constant fields (Queue, CPU, Predictor, Probe) once and overwrites
+// Now, Stored, Capacity and Reclaimed in place before every Decide call
+// (the hot path neither allocates nor copies the struct per decision). A
+// policy must therefore treat the pointer as read-only and valid only for
+// the duration of Decide — read it, decide, return; never write to it or
 // retain the *Context (or its Queue) past the call. Policies can (and
 // should) be stateless: the paper's algorithms are pure functions of this
 // state. Per-job state that must survive across decisions (e.g. the
@@ -180,7 +182,7 @@ func (LSA) Decide(ctx *Context) Decision {
 	}
 	available := ctx.AvailableEnergy(j.Abs)
 	srMax := available / ctx.CPU.MaxPower()
-	s2 := math.Max(ctx.Now, j.Abs-srMax)
+	s2 := max(ctx.Now, j.Abs-srMax)
 
 	if !Reached(ctx.Now, s2) {
 		ctx.AuditJob("lsa", j, available, s2, s2, -1, s2, obs.ReasonIdleRecharge)
@@ -257,7 +259,7 @@ func (GreedyStretch) Decide(ctx *Context) Decision {
 	}
 	available := ctx.AvailableEnergy(j.Abs)
 	srN := available / ctx.CPU.Power(level)
-	s1 := math.Max(ctx.Now, j.Abs-srN)
+	s1 := max(ctx.Now, j.Abs-srN)
 	if !Reached(ctx.Now, s1) {
 		return Idle(s1)
 	}

@@ -4,21 +4,20 @@ import (
 	"math"
 	"sync"
 
-	"github.com/eadvfs/eadvfs/internal/des"
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
 	"github.com/eadvfs/eadvfs/internal/obs"
 	"github.com/eadvfs/eadvfs/internal/rng"
+	"github.com/eadvfs/eadvfs/internal/sched"
 	"github.com/eadvfs/eadvfs/internal/task"
 )
 
-// Arena is the reusable cross-run state of the engine: the pooled DES
-// kernel (event free list), the ready queue, the per-task stats table and
-// the arrival stream with its job free list. One engine run churns
-// through hundreds of job structs and kernel events; an arena allocates
-// them once and resets them per run, which is what turns a repeated
-// workload — a capacity bisection, a sweep cell, a service worker slot —
-// from ~800 allocations per run into ~20. Jobs are released from a
+// Arena is the reusable cross-run state of the engine: the ready queue,
+// the per-task stats table, the arrival stream with its job free list and
+// the deadline-check heap. One engine run churns through hundreds of job
+// structs; an arena allocates them once and resets them per run, which is
+// what turns a repeated workload — a capacity bisection, a sweep cell, a
+// service worker slot — from ~800 allocations per run into ~20. Jobs are released from a
 // per-task arrival heap rather than expanded up front, so an arena's
 // memory depends on the task count and the jobs live at once, not on the
 // horizon.
@@ -33,24 +32,22 @@ import (
 // The contract the reset relies on: nothing retains engine-owned state
 // past Run, and no policy keeps a *Job for more than one decision past
 // the job's retirement (see releases). Tracers and probes copy job fields
-// rather than keep *Job (they already must, per the des event-pooling
-// contract), and Result.PerTask entries are freshly allocated per run
-// precisely because callers do retain those.
+// rather than keep *Job, and Result.PerTask entries are freshly allocated
+// per run precisely because callers do retain those.
 type Arena struct {
-	kernel *des.Kernel
-	queue  *task.ReadyQueue
-	tasks  *taskTable
-	rel    releases
-	eng    engine
+	queue *task.ReadyQueue
+	tasks *taskTable
+	rel   releases
+	dl    deadlines
+	eng   engine
 }
 
 // NewArena returns an empty arena. The first Run populates its pools; an
 // arena warms up in one run.
 func NewArena() *Arena {
 	return &Arena{
-		kernel: des.NewKernel(),
-		queue:  task.NewReadyQueue(),
-		tasks:  newTaskTable(),
+		queue: task.NewReadyQueue(),
+		tasks: newTaskTable(),
 	}
 }
 
@@ -70,7 +67,7 @@ type RunOutcome struct {
 // RunMany executes the configs sequentially on a single pooled arena and
 // returns one outcome per config, in order. Each run is bit-identical to
 // an independent Run of the same config (the internal/verify differential
-// pins this down); the batch form amortizes the kernel, queue and job
+// pins this down); the batch form amortizes the queue, heaps and job
 // structs across the whole batch. Stateful components (Store, Predictor,
 // Policy) are consumed per run as always and must be fresh per config.
 func RunMany(cfgs []*Config) []RunOutcome {
@@ -86,6 +83,16 @@ func RunMany(cfgs []*Config) []RunOutcome {
 // Run executes one simulation on this arena's pooled state. Semantics are
 // exactly those of the package-level Run.
 func (a *Arena) Run(cfg *Config) (*Result, error) {
+	res, err := a.run(cfg)
+	// A pooled arena outlives its run: drop the engine's references to the
+	// run's config, context and result, so an idle arena does not pin the
+	// last run's source, predictor and store (a 1e6-unit solar source
+	// holds 24 MB of tables) until it is drawn again.
+	a.eng = engine{}
+	return res, err
+}
+
+func (a *Arena) run(cfg *Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -134,19 +141,26 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 	// Reset the pooled state up front (not on exit): a panicking run can
 	// never leave a stale arena behind, because the next run starts from a
 	// clean slate regardless.
-	a.kernel.Reset()
 	a.queue.Reset()
 	a.tasks.reset()
+	a.dl.reset()
 
 	e := &a.eng
 	*e = engine{
 		cfg:       cfg,
-		kernel:    a.kernel,
 		queue:     a.queue,
 		rel:       &a.rel,
+		dl:        &a.dl,
 		lastRunLv: -1,
 		tasks:     a.tasks,
 		faults:    faults,
+		ctx: sched.Context{
+			Queue:     a.queue,
+			CPU:       cfg.CPU,
+			Predictor: cfg.Predictor,
+			Probe:     cfg.Probe,
+		},
+		psT: math.NaN(),
 		res: &Result{
 			Policy:    cfg.Policy.Name(),
 			LevelTime: make([]float64, cfg.CPU.Levels()),
@@ -182,7 +196,6 @@ func (a *Arena) Run(cfg *Config) (*Result, error) {
 		e.nextBoundary = 1
 	}
 	e.segTime = math.Inf(1)
-	e.deadlineFn = e.onDeadlineArg
 
 	simSpan := obs.StartSpan(trace, "sim", "simulate", traceParent)
 	simSpan.SetFloat("sim_start", 0)

@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"github.com/eadvfs/eadvfs/internal/cpu"
-	"github.com/eadvfs/eadvfs/internal/des"
 	"github.com/eadvfs/eadvfs/internal/energy"
 	"github.com/eadvfs/eadvfs/internal/fault"
 	"github.com/eadvfs/eadvfs/internal/metrics"
@@ -114,7 +113,7 @@ type Config struct {
 	// full run — in particular Miss.Missed > 0 if and only if the full
 	// run would have missed at least one deadline, which is the only
 	// question a zero-miss feasibility probe (capacity bisection,
-	// experiment.MinCapacitySearch) asks. A run with no misses is
+	// experiment.MinCapacitySearcher) asks. A run with no misses is
 	// unaffected, bit for bit.
 	StopAtFirstMiss bool
 
@@ -297,26 +296,26 @@ type SlackStats struct {
 
 // engine is the per-run mutable state.
 //
-// Event plumbing: only deadline checks live in the DES kernel heap. The
-// other event classes each have a natural structure that makes a heap (and
-// its per-event bookkeeping) unnecessary, so they are kept as *virtual
-// streams* and merged with the kernel by (time, priority) in dispatch():
+// Event plumbing: no event goes through a general-purpose DES kernel.
+// Each event class has a natural structure, so each is kept as its own
+// typed stream and the streams are merged by (time, priority) in
+// dispatch():
 //
 //   - unit boundaries are a monotone +1 chain (nextBoundary),
 //   - at most one segment end is pending at a time (segTime — superseding
-//     it is a field write, which also removes the stale-handle hazard of
-//     cancelling a pooled kernel event after it fired),
+//     it is a field write, so no stale handle is ever cancelled),
 //   - arrivals come from the releases stream: a heap with one pending
 //     arrival per periodic task, merged with the sorted Config.Jobs,
+//   - deadline checks come from the deadlines stream: a value heap keyed
+//     (deadline, insertion sequence),
 //   - at most one decision is pending at a time (decideAt).
 //
-// The priorities are disjoint per stream, so the merged order is exactly
-// the order the old all-in-kernel design produced, and dispatched counts
-// every fired event the same way kernel.Steps() used to.
+// The priorities are disjoint per stream, so the merge is the total
+// (time, priority, insertion) order a single event queue would produce,
+// and dispatched counts every fired event across all streams.
 type engine struct {
-	cfg    *Config
-	kernel *des.Kernel // deadline checks only; see above
-	queue  *task.ReadyQueue
+	cfg   *Config
+	queue *task.ReadyQueue
 
 	lastT float64 // state integrated up to here
 
@@ -327,10 +326,11 @@ type engine struct {
 	segStart  float64 // start of the current constant-activity segment
 	lastRunLv int     // level of the previous run segment, -1 before any
 
-	rel           *releases // arrival stream and job free list (arena-owned)
-	nextBoundary  float64   // next unit boundary; +Inf when exhausted
-	segTime       float64   // pending segment end; +Inf when none
-	decideAt      float64   // pending decision instant
+	rel           *releases  // arrival stream and job free list (arena-owned)
+	dl            *deadlines // deadline-check stream (arena-owned)
+	nextBoundary  float64    // next unit boundary; +Inf when exhausted
+	segTime       float64    // pending segment end; +Inf when none
+	decideAt      float64    // pending decision instant
 	decidePending bool
 
 	simNow     float64 // time of the last dispatched event
@@ -347,8 +347,16 @@ type engine struct {
 	waking    bool
 	wakeDone  float64 // wake transition completes here
 
-	deadlineFn des.ArgHandler // shared handler for all deadline events
-	ctx        sched.Context  // rebuilt in place per decision (sched contract)
+	// ctx is the policies' view of the run. The run-constant fields are
+	// set once per run; onDecide writes the rest in place (sched contract).
+	ctx sched.Context
+
+	// psT and psV memoize Source.PowerAt on the exact instant: a unit
+	// boundary, the decision it requests and the next integration step
+	// all ask for the same instant. The key is the instant itself, not
+	// its unit, because a source need not be constant within a unit
+	// (energy.TwoMode with a fractional period or day length).
+	psT, psV float64
 
 	initialLevel float64
 	tasks        *taskTable
@@ -365,10 +373,10 @@ type engine struct {
 // diagnose the drift; a watchdog abort (Config.MaxEvents) returns a
 // *EventBudgetError with a nil Result.
 //
-// Runs execute on pooled arenas (see Arena): the DES kernel, ready queue,
-// per-task table, arrival heap and job structs are reused across runs, so
-// steady-state simulation allocates only the Result and the caller's
-// stateful components, whatever the horizon. Callers batching many runs
+// Runs execute on pooled arenas (see Arena): the ready queue, per-task
+// table, arrival and deadline heaps and job structs are reused across
+// runs, so steady-state simulation allocates only the Result and the
+// caller's stateful components, whatever the horizon. Callers batching many runs
 // can pin them to one arena (NewArena, RunMany).
 func Run(cfg *Config) (*Result, error) {
 	a := arenaPool.Get().(*Arena)
@@ -379,9 +387,9 @@ func Run(cfg *Config) (*Result, error) {
 	return res, err
 }
 
-// dispatch merges the virtual event streams with the kernel heap and runs
-// the earliest (time, priority) pair until the horizon, enforcing the
-// optional event budget (Config.MaxEvents).
+// dispatch merges the event streams and runs the earliest (time,
+// priority) pair until the horizon, enforcing the optional event budget
+// (Config.MaxEvents).
 func (e *engine) dispatch() error {
 	for !e.stopped {
 		t, prio, ok := e.peekNext()
@@ -420,7 +428,7 @@ func (e *engine) dispatch() error {
 		case prioArrival:
 			e.onArrival(t, e.rel.pop())
 		case prioDeadline:
-			e.kernel.Step()
+			e.onDeadline(t, e.dl.pop())
 		case prioDecide:
 			e.onDecide(t)
 		}
@@ -428,27 +436,22 @@ func (e *engine) dispatch() error {
 	return nil
 }
 
-// peekNext returns the earliest pending (time, priority) across the kernel
-// heap and the virtual streams. The priorities are disjoint per stream, so
-// (time, priority) alone is a total order.
+// peekNext returns the earliest pending (time, priority) across the event
+// streams. The priorities are disjoint per stream, so (time, priority)
+// alone is a total order; the streams are visited in priority order, so a
+// strictly earlier instant is the only way a later stream wins.
 func (e *engine) peekNext() (float64, int, bool) {
-	best, bestPrio, ok := e.kernel.Peek()
-	if !ok {
-		best, bestPrio = math.Inf(1), prioDecide+1
-	}
-	better := func(t float64, prio int) bool {
-		return t < best || (t == best && prio < bestPrio)
-	}
-	if better(e.nextBoundary, prioBoundary) {
-		best, bestPrio = e.nextBoundary, prioBoundary
-	}
-	if better(e.segTime, prioSegment) {
+	best, bestPrio := e.nextBoundary, prioBoundary
+	if e.segTime < best {
 		best, bestPrio = e.segTime, prioSegment
 	}
-	if better(e.rel.next, prioArrival) {
+	if e.rel.next < best {
 		best, bestPrio = e.rel.next, prioArrival
 	}
-	if e.decidePending && better(e.decideAt, prioDecide) {
+	if e.dl.next < best {
+		best, bestPrio = e.dl.next, prioDeadline
+	}
+	if e.decidePending && e.decideAt < best {
 		best, bestPrio = e.decideAt, prioDecide
 	}
 	return best, bestPrio, !math.IsInf(best, 1)
@@ -457,7 +460,7 @@ func (e *engine) peekNext() (float64, int, bool) {
 // pendingEvents counts queued events, arrivals excepted (diagnostics for
 // EventBudgetError).
 func (e *engine) pendingEvents() int {
-	n := e.kernel.Pending()
+	n := len(e.dl.heap)
 	if !math.IsInf(e.nextBoundary, 1) {
 		n++
 	}
@@ -484,11 +487,22 @@ func (e *engine) cpuPower() float64 {
 	}
 }
 
+// powerAt is Source.PowerAt memoized on the last instant asked for.
+func (e *engine) powerAt(t float64) float64 {
+	if t != e.psT {
+		e.psT, e.psV = t, e.cfg.Source.PowerAt(t)
+	}
+	return e.psV
+}
+
 // syncTo advances the energy and execution state from lastT to now,
 // splitting at unit boundaries where the source power changes. Activity is
 // constant across the whole span — behavioural changes are events, and
 // events call syncTo before mutating anything.
 func (e *engine) syncTo(now float64) {
+	if now == e.lastT {
+		return // several events at one instant: nothing to integrate
+	}
 	if now < e.lastT-1e-9 {
 		if e.inv != nil {
 			// Structured violation instead of a crash: record the causal
@@ -503,9 +517,9 @@ func (e *engine) syncTo(now float64) {
 		// Split at the next unit boundary: the source power is constant
 		// on [k, k+1). floor(lastT)+1 > lastT always, so progress is
 		// guaranteed.
-		end := math.Min(math.Floor(e.lastT)+1, now)
+		end := min(math.Floor(e.lastT)+1, now)
 		dt := end - e.lastT
-		ps := e.cfg.Source.PowerAt(e.lastT)
+		ps := e.powerAt(e.lastT)
 		delivered, _ := e.cfg.Store.Flow(ps, pc, dt)
 		if e.inv != nil {
 			e.inv.checkStoreBounds(end, e.cfg.Store.Level(), e.cfg.Store.Capacity())
@@ -625,7 +639,7 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	if of := e.faults.OverrunFactor(j.TaskID, j.Seq); of > 1 {
 		actual *= of
 		j.SetOverrunWork(actual)
-		e.faults.AddOverrunWork(math.Max(0, actual-j.WCET))
+		e.faults.AddOverrunWork(max(0, actual-j.WCET))
 	} else if drawn {
 		j.SetActualWork(actual)
 	}
@@ -649,18 +663,11 @@ func (e *engine) onArrival(now float64, j *task.Job) {
 	}
 	e.queue.Push(j)
 	// Deadline check, scheduled only if it falls inside the horizon; jobs
-	// whose deadlines lie beyond the horizon are left unadjudicated. The
-	// shared ArgHandler keeps this allocation-free (a *Job in an interface
-	// does not allocate, and the kernel pools the Event itself).
+	// whose deadlines lie beyond the horizon are left unadjudicated.
 	if j.Abs <= e.cfg.Horizon {
-		e.kernel.AtArg(j.Abs, prioDeadline, "deadline", e.deadlineFn, j)
+		e.dl.push(j, now)
 	}
 	e.requestDecide(now)
-}
-
-// onDeadlineArg adapts onDeadline to the kernel's shared-handler shape.
-func (e *engine) onDeadlineArg(now float64, arg any) {
-	e.onDeadline(now, arg.(*task.Job))
 }
 
 func (e *engine) onDeadline(now float64, j *task.Job) {
@@ -695,7 +702,7 @@ func (e *engine) onBoundary(now float64) {
 		m := e.cfg.Store.Meters()
 		e.inv.checkConservation(now, e.cfg.Store.ConservationError(e.initialLevel), e.initialLevel+m.Stored)
 	}
-	e.cfg.Predictor.Observe(now-1, e.cfg.Source.PowerAt(now-1))
+	e.cfg.Predictor.Observe(now-1, e.powerAt(now-1))
 	if s := e.res.EnergySeries; s != nil {
 		k := int(math.Round(now))
 		if k < s.Len() {
@@ -793,17 +800,13 @@ func (e *engine) onDecide(now float64) {
 	}
 
 	// The context struct is reused across decisions — policies must not
-	// retain it past Decide (sched.Context's documented contract).
-	e.ctx = sched.Context{
-		Now:       now,
-		Queue:     e.queue,
-		Stored:    e.cfg.Store.Level(),
-		Capacity:  e.cfg.Store.Capacity(),
-		CPU:       e.cfg.CPU,
-		Predictor: e.cfg.Predictor,
-		Reclaimed: e.res.Slack.ReclaimedWork,
-		Probe:     e.cfg.Probe,
-	}
+	// retain it past Decide (sched.Context's documented contract). Its
+	// run-constant fields were set in Arena.Run; the capacity is read per
+	// decision because a storage-fade fault shrinks it.
+	e.ctx.Now = now
+	e.ctx.Stored = e.cfg.Store.Level()
+	e.ctx.Capacity = e.cfg.Store.Capacity()
+	e.ctx.Reclaimed = e.res.Slack.ReclaimedWork
 	d := e.cfg.Policy.Decide(&e.ctx)
 	e.rel.recycle()
 	e.res.Decisions++
@@ -828,12 +831,12 @@ func (e *engine) onDecide(now float64) {
 		if idle := e.cfg.CPU.IdlePower(); idle > 0 {
 			// A non-zero idle draw can also empty the store; split there
 			// so the exact-flow precondition holds.
-			sustain := e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), idle)
+			sustain := e.cfg.Store.TimeToEmpty(e.powerAt(now), idle)
 			if sustain < stallEps {
 				e.setActivity(now, ModeStall, nil, 0)
 				return
 			}
-			until = math.Min(until, now+sustain)
+			until = min(until, now+sustain)
 		}
 		if e.cfg.CPU.SleepLevels() > 0 && e.maybeSleep(now, until) {
 			return
@@ -870,7 +873,7 @@ func (e *engine) onDecide(now float64) {
 		}
 	}
 
-	ps := e.cfg.Source.PowerAt(now)
+	ps := e.powerAt(now)
 	pc := e.cfg.CPU.Power(level)
 	sustain := e.cfg.Store.TimeToEmpty(ps, pc)
 	if sustain < stallEps {
@@ -886,7 +889,7 @@ func (e *engine) onDecide(now float64) {
 
 	e.setActivity(now, ModeRun, d.Job, level)
 	completion := now + d.Job.ActualRemaining()/e.cfg.CPU.Speed(level)
-	e.scheduleSegmentEnd(now, completion, math.Min(d.Until, now+sustain))
+	e.scheduleSegmentEnd(now, completion, min(d.Until, now+sustain))
 }
 
 // maybeSleep is the DPM idle manager: with the processor freshly idle,
@@ -898,7 +901,7 @@ func (e *engine) onDecide(now float64) {
 // early, so the processor is available again right when the window ends.
 // It reports whether it entered a sleep state (and so owns the segment).
 func (e *engine) maybeSleep(now, until float64) bool {
-	winEnd := math.Min(math.Min(until, e.cfg.Horizon), e.rel.next)
+	winEnd := min(until, e.cfg.Horizon, e.rel.next)
 	idx := e.cfg.CPU.DeepestSleepFor(winEnd - now)
 	if idx < 0 {
 		return false
@@ -947,13 +950,13 @@ func (e *engine) holdSleep(now, end float64) {
 		return
 	}
 	e.setActivity(now, ModeSleep, nil, e.sleepIdx) // back from a stall
-	e.scheduleSegmentEnd(now, math.Inf(1), math.Min(end, now+sustain))
+	e.scheduleSegmentEnd(now, math.Inf(1), min(end, now+sustain))
 }
 
 // sleepSustain is how long the store can hold the sleep state's draw.
 func (e *engine) sleepSustain(now float64) float64 {
 	pw := e.cfg.CPU.SleepState(e.sleepIdx).Power
-	return e.cfg.Store.TimeToEmpty(e.cfg.Source.PowerAt(now), pw)
+	return e.cfg.Store.TimeToEmpty(e.powerAt(now), pw)
 }
 
 // scheduleSegmentEnd installs the next forced re-evaluation at
@@ -961,7 +964,7 @@ func (e *engine) sleepSustain(now float64) float64 {
 // their own events, so a segment never actually outlives a source change:
 // the depletion time computed above is exact within the current unit.
 func (e *engine) scheduleSegmentEnd(now, completion, until float64) {
-	end := math.Min(completion, until)
+	end := min(completion, until)
 	if math.IsInf(end, 1) {
 		return
 	}

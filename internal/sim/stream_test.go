@@ -30,6 +30,8 @@ type scenario struct {
 	sleep    string          // cpu.SleepPreset name; "" for none
 	model    string          // registered task model; "" for "periodic"
 	params   registry.Params // task-model parameters
+	source   string          // registered source; "" for solar seeded by seed
+	srcArgs  registry.Params // source parameters
 
 	jobs func() []*task.Job // explicit jobs, fresh per call; nil for none
 
@@ -38,8 +40,8 @@ type scenario struct {
 }
 
 func (s scenario) String() string {
-	return fmt.Sprintf("%s/u=%g/seed=%d/model=%q/sleep=%q/jobs=%v/continue=%v/stop=%v",
-		s.policy, s.util, s.seed, s.model, s.sleep, s.jobs != nil, s.continueAfterDeadline, s.stopAtFirstMiss)
+	return fmt.Sprintf("%s/u=%g/seed=%d/model=%q/sleep=%q/source=%q/jobs=%v/continue=%v/stop=%v",
+		s.policy, s.util, s.seed, s.model, s.sleep, s.source, s.jobs != nil, s.continueAfterDeadline, s.stopAtFirstMiss)
 }
 
 // must unwraps registry lookups and builds of fixed, valid names.
@@ -64,6 +66,9 @@ func (s scenario) config(t testing.TB, ref bool) *sim.Config {
 		proc = proc.WithDPM(idle, states)
 	}
 	src := must(must(registry.Source("solar")).Build(registry.Params{"seed": s.seed}))
+	if s.source != "" {
+		src = must(must(registry.Source(s.source)).Build(s.srcArgs))
+	}
 	model := s.model
 	if model == "" {
 		model = "periodic"
@@ -386,4 +391,28 @@ func TestRetiredJobOutlivesOneDecision(t *testing.T) {
 		}
 	}
 	t.Fatalf("C was not stretched at t=5 on A's observed slack: %+v", got.rec.Decisions())
+}
+
+// A two-mode source with a fractional day length switches between day and
+// night inside a unit interval, so the source power the engine integrates
+// with depends on the exact instant each integration step starts at. The
+// run must still match refimpl bit for bit; a PowerAt cache keyed by the
+// unit (floor(t)) instead of the instant fails here.
+func TestFractionalTwoModeMatchesRefimpl(t *testing.T) {
+	args := registry.Params{"day": 6.0, "night": 0.4, "period": 30.0, "day_len": 11.37}
+	src := must(must(registry.Source("two-mode")).Build(args))
+	if src.PowerAt(11) == src.PowerAt(11.5) {
+		t.Fatal("source does not switch inside unit [11, 12)")
+	}
+	for _, pol := range []string{"ea-dvfs", "lsa", "edf", "ea-dvfs-reclaim"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			s := scenario{policy: pol, util: 0.6, seed: seed, horizon: 3000, capacity: 150,
+				source: "two-mode", srcArgs: args}
+			got := new(side)
+			got.res, got.err = sim.Run(got.attach(s.config(t, false)))
+			if err := sameRun(got, refRun(t, s)); err != nil {
+				t.Errorf("%v: %v", s, err)
+			}
+		}
+	}
 }
